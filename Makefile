@@ -21,14 +21,13 @@ test:
 # benchmark runs one iteration per config; its allocation gate is the
 # TestTrialLoopZeroAlloc test (a 1x bench can't see the steady state).
 # The wrong-path replay gates pin the speculative-fetch fast path: prototype
-# clones cycle-identical to New, 0 allocs/op with replay enabled, and every
-# scenario bit-identical with replay force-disabled.
+# clones cycle-identical to New, 0 allocs/op with replay enabled, and the
+# replay path's spec events identical to the legacy walk's.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|MemAccess|SimulatorSpeed' -benchmem -benchtime=1000x
 	$(GO) test -run=NONE -bench='AttackTrials' -benchmem -benchtime=1x ./internal/attack
 	$(GO) test ./internal/experiments/ -run 'TestSteadyStateZeroAllocSpecDisarmed'
-	$(GO) test ./internal/pipeline/ -run 'TestPrototypeMatchesNew|TestWrongPathReplayZeroAlloc'
-	$(GO) test ./internal/experiments/ -run 'TestWrongPathReplayDifferential'
+	$(GO) test ./internal/pipeline/ -run 'TestPrototypeMatchesNew|TestWrongPathReplayZeroAlloc|TestSpecEventsReplayMatchesLegacy'
 
 # bench is the full benchmark suite (paper figures + ablations).
 bench:
@@ -62,12 +61,15 @@ smoke-cluster:
 # obs-smoke exercises the observability layer end to end: the metrics
 # registry and journal unit tests, the /metrics + /runs/{id}/events serve
 # tests (distributed spans included), the instrumentation-inertness and
-# spec-trace differentials with their zero-alloc gates, then the cluster
-# smoke's live-fleet /metrics scrape.
+# spec-trace differentials (armed vs disarmed kernels and traced attack
+# trials, replay vs legacy event streams) with their zero-alloc gates, then
+# the cluster smoke's live-fleet /metrics scrape.
 obs-smoke:
 	$(GO) test ./internal/obs/
 	$(GO) test ./internal/serve/ -run 'TestMetrics|TestRunEvents|TestPprof|TestDistributedRunThroughServe'
 	$(GO) test ./internal/experiments/ -run 'TestObservabilityDifferential|TestSteadyStateZeroAllocWithMetrics|TestSpecTraceDifferential|TestSteadyStateZeroAllocSpecDisarmed'
+	$(GO) test ./internal/attack/ -run 'TestTraceTrialMatchesUntraced'
+	$(GO) test ./internal/pipeline/ -run 'TestSpecEventsReplayMatchesLegacy'
 	./scripts/cluster_smoke.sh
 
 # smoke-attack runs the attack lab end to end: the baseline must leak the

@@ -392,23 +392,6 @@ func runCalibPairs(p Params) ([]calib, error) {
 	return pairs, nil
 }
 
-// calibPair runs trial t's two calibration programs — replays of the
-// trial's exact environment (same draw, so the same program layout and
-// noise) with each known value of the attacked bit. Code placement and
-// fetch effects cancel exactly between them, leaving only the
-// microarchitectural signal — or, under SeMPE, nothing, in which case the
-// classifier degenerates to a secret-independent tie.
-func calibPair(p Params, t int) (c0, c1 []float64, err error) {
-	d := newDraw(trialRNG(p.effSeed(), t), p)
-	if c0, err = runTrial(p, d, d.gapCal, p.KeyPrefix); err != nil {
-		return nil, nil, fmt.Errorf("attack %s/%s trial %d calib0: %w", p.Kind, ArchName(p.Secure), t, err)
-	}
-	if c1, err = runTrial(p, d, d.gapCal, p.KeyPrefix|1<<uint(p.Bit)); err != nil {
-		return nil, nil, fmt.Errorf("attack %s/%s trial %d calib1: %w", p.Kind, ArchName(p.Secure), t, err)
-	}
-	return c0, c1, nil
-}
-
 // makeTrial assembles one trial from its calibration pair. The
 // measurement run is the same deterministic program as the matching
 // calibration (same draw, same secret), so its observation is that
@@ -496,8 +479,9 @@ func signColumn(k Kind) int { return len(columns(k)) - 1 }
 // runTrial builds, compiles, and runs one attacker program — the victim's
 // fragment for (key, width, bit) wrapped in the attacker's measurement
 // scaffold, with gap activity seeded by gapSeed — and extracts the
-// observation vector from its marker timestamps.
-func runTrial(p Params, d draw, gapSeed int64, key uint64) ([]float64, error) {
+// observation vector from its marker timestamps. A non-nil watch is armed
+// as the run's spec watch (TraceTrial); it observes without perturbing.
+func runTrial(p Params, d draw, gapSeed int64, key uint64, watch func(pipeline.SpecEvent)) ([]float64, error) {
 	v, err := p.victimImpl()
 	if err != nil {
 		return nil, err
@@ -533,6 +517,9 @@ func runTrial(p Params, d draw, gapSeed int64, key uint64) ([]float64, error) {
 			if write && addr == mrk {
 				stamps = append(stamps, cycle)
 			}
+		}
+		if watch != nil {
+			c.SetSpecWatch(watch)
 		}
 	})
 	if err != nil {

@@ -77,11 +77,11 @@ func TestSeMPEObservationsSecretIndependent(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			rng := trialRNG(p.Seed, trial)
 			d := newDraw(rng, p)
-			o0, err := runTrial(p, d, d.gapCal, 0)
+			o0, err := runTrial(p, d, d.gapCal, 0, nil)
 			if err != nil {
 				t.Fatalf("%v trial %d: %v", kind, trial, err)
 			}
-			o1, err := runTrial(p, d, d.gapCal, 1)
+			o1, err := runTrial(p, d, d.gapCal, 1, nil)
 			if err != nil {
 				t.Fatalf("%v trial %d: %v", kind, trial, err)
 			}
@@ -104,11 +104,11 @@ func TestBaselineObservationsDiffer(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			rng := trialRNG(p.Seed, trial)
 			d := newDraw(rng, p)
-			o0, err := runTrial(p, d, d.gapCal, 0)
+			o0, err := runTrial(p, d, d.gapCal, 0, nil)
 			if err != nil {
 				t.Fatalf("%v trial %d: %v", kind, trial, err)
 			}
-			o1, err := runTrial(p, d, d.gapCal, 1)
+			o1, err := runTrial(p, d, d.gapCal, 1, nil)
 			if err != nil {
 				t.Fatalf("%v trial %d: %v", kind, trial, err)
 			}

@@ -127,7 +127,7 @@ func TestSeMPEVictimObservationsKeyIndependent(t *testing.T) {
 				d := newDraw(trialRNG(p.effSeed(), trial), p)
 				var ref []float64
 				for _, key := range []uint64{0, 1<<uint(p.Bit) - 1, 1 << uint(p.Bit), 1<<uint(w) - 1} {
-					obs, err := runTrial(p, d, d.gapCal, key)
+					obs, err := runTrial(p, d, d.gapCal, key, nil)
 					if err != nil {
 						t.Fatalf("%v/%s key %#x: %v", kind, vic, key, err)
 					}

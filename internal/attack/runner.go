@@ -74,9 +74,8 @@ type Perf struct {
 	SBReplays         uint64 `json:"sb_replays"`
 	SBLegacyOps       uint64 `json:"sb_legacy_ops"`
 	// SBWrongPathBuilds/SBWrongPathReplays are the slices of the above that
-	// the flush logic attributed to squashed (never-committed) paths: work
-	// the wrong-path replay engine ran at superblock speed instead of
-	// diverting to the legacy walk.
+	// the flush logic attributed to squashed (never-committed) paths:
+	// wrong-path work the replay engine ran at superblock speed.
 	SBWrongPathBuilds  uint64 `json:"sb_wrongpath_builds"`
 	SBWrongPathReplays uint64 `json:"sb_wrongpath_replays"`
 	// Trials and TrialSeconds measure batch throughput: trials completed
@@ -181,9 +180,13 @@ func (r *runner) trialDraw(t int) draw {
 	return newDraw(r.rng, r.p)
 }
 
-// calibPair is runner's version of the package-level calibPair: trial t's
-// two calibration runs. The returned slices alias runner-owned buffers and
-// are valid until the next runner call.
+// calibPair runs trial t's two calibration programs — replays of the
+// trial's exact environment (same draw, so the same program layout and
+// noise) with each known value of the attacked bit. Code placement and
+// fetch effects cancel exactly between them, leaving only the
+// microarchitectural signal — or, under SeMPE, nothing, in which case the
+// classifier degenerates to a secret-independent tie. The returned slices
+// alias runner-owned buffers and are valid until the next runner call.
 func (r *runner) calibPair(t int) (d draw, c0, c1 []float64, err error) {
 	d = r.trialDraw(t)
 	if c0, err = r.run(d, d.gapCal, r.p.KeyPrefix, &r.c0buf); err != nil {

@@ -37,7 +37,7 @@ func TestRunnerMatchesLegacy(t *testing.T) {
 								t.Fatalf("trial %d: runner draw %+v != legacy draw %+v", trial, rd, d)
 							}
 							for _, key := range []uint64{p.KeyPrefix, p.KeyPrefix | 1<<uint(p.Bit)} {
-								want, err := runTrial(p, d, d.gapCal, key)
+								want, err := runTrial(p, d, d.gapCal, key, nil)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -50,7 +50,7 @@ func TestRunnerMatchesLegacy(t *testing.T) {
 								}
 							}
 							if gap > 0 {
-								want, err := runTrial(p, d, d.gapMeas, p.KeyPrefix|1<<uint(p.Bit))
+								want, err := runTrial(p, d, d.gapMeas, p.KeyPrefix|1<<uint(p.Bit), nil)
 								if err != nil {
 									t.Fatal(err)
 								}

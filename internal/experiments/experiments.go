@@ -123,12 +123,29 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func parseUints(s string) ([]uint64, error) {
+// maxSecret is the largest harness secret: the compiler materializes it as
+// a 32-bit signed immediate, so a larger value would fail every point.
+const maxSecret = 1<<31 - 1
+
+// parseSecret parses one harness secret, rejecting values the harness
+// cannot encode at spec time rather than at every point's compile.
+func parseSecret(s string) (uint64, error) {
+	v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad unsigned integer %q", s)
+	}
+	if v > maxSecret {
+		return 0, fmt.Errorf("%d exceeds the largest encodable secret %d", v, maxSecret)
+	}
+	return v, nil
+}
+
+func parseSecrets(s string) ([]uint64, error) {
 	var out []uint64
 	for _, f := range splitCSV(s) {
-		v, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
+		v, err := parseSecret(f)
 		if err != nil {
-			return nil, fmt.Errorf("bad unsigned integer %q", f)
+			return nil, err
 		}
 		out = append(out, v)
 	}

@@ -84,7 +84,7 @@ func fig10SpecOf(spec scenario.Spec) (Fig10Spec, error) {
 		}
 	}
 	if v, ok := spec.Params["secret"]; ok {
-		if f.Secret, err = strconv.ParseUint(v, 10, 64); err != nil {
+		if f.Secret, err = parseSecret(v); err != nil {
 			return Fig10Spec{}, fmt.Errorf("secret: %w", err)
 		}
 	}

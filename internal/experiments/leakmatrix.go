@@ -75,7 +75,7 @@ func leakSpecOf(spec scenario.Spec) (LeakMatrixSpec, error) {
 		}
 	}
 	if v, ok := spec.Params["secrets"]; ok {
-		if f.Secrets, err = parseUints(v); err != nil {
+		if f.Secrets, err = parseSecrets(v); err != nil {
 			return LeakMatrixSpec{}, fmt.Errorf("secrets: %w", err)
 		}
 	}

@@ -31,11 +31,14 @@ var superblockDiffSpecs = map[string]scenario.Spec{
 	"leakmatrix": {Params: map[string]string{"kinds": "fibonacci,ones", "ws": "1,2", "iters": "2", "secrets": "2"}},
 }
 
-// diffScenarios runs every registered scenario twice — once as-is, once
-// with toggle applied — and asserts byte-identical stable JSON and
-// identical typed rows.
-func diffScenarios(t *testing.T, toggle func() (restore func())) {
-	t.Helper()
+// TestSuperblockDifferential is the superblock engine's end-to-end
+// correctness gate: every registered scenario, run with the cached-trace
+// front end enabled and then force-disabled, must produce byte-identical
+// stable JSON and identical typed rows. The engine claims to change no
+// observable — cycle counts, cache statistics, predictor state, leakage
+// digests — and this asserts that claim over the full evaluation surface,
+// wrong-path replay through every mispredict and secure redirect included.
+func TestSuperblockDifferential(t *testing.T) {
 	for _, sc := range scenario.Scenarios() {
 		spec, ok := superblockDiffSpecs[sc.Name]
 		if !ok {
@@ -47,8 +50,8 @@ func diffScenarios(t *testing.T, toggle func() (restore func())) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			restore := toggle()
-			defer restore()
+			prev := pipeline.SetSuperblockDefault(false)
+			defer pipeline.SetSuperblockDefault(prev)
 			off, err := scenario.Run(sc, spec, scenario.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -62,38 +65,11 @@ func diffScenarios(t *testing.T, toggle func() (restore func())) {
 				t.Fatal(err)
 			}
 			if string(onJSON) != string(offJSON) {
-				t.Errorf("stable JSON differs with the toggle applied:\n--- on ---\n%s\n--- off ---\n%s", onJSON, offJSON)
+				t.Errorf("stable JSON differs with the engine disabled:\n--- on ---\n%s\n--- off ---\n%s", onJSON, offJSON)
 			}
 			if !reflect.DeepEqual(on.Rows, off.Rows) {
-				t.Errorf("typed rows differ with the toggle applied")
+				t.Errorf("typed rows differ with the engine disabled")
 			}
 		})
 	}
-}
-
-// TestSuperblockDifferential is the superblock engine's end-to-end
-// correctness gate: every registered scenario, run with the cached-trace
-// front end enabled and then force-disabled, must produce byte-identical
-// stable JSON and identical typed rows. The engine claims to change no
-// observable — cycle counts, cache statistics, predictor state, leakage
-// digests — and this asserts that claim over the full evaluation surface.
-func TestSuperblockDifferential(t *testing.T) {
-	diffScenarios(t, func() func() {
-		prev := pipeline.SetSuperblockDefault(false)
-		return func() { pipeline.SetSuperblockDefault(prev) }
-	})
-}
-
-// TestWrongPathReplayDifferential is the wrong-path replay machinery's
-// end-to-end gate: every registered scenario, run with superblock replay
-// allowed through speculative fetch and then with wrong-path replay
-// force-disabled (fetch diverts to the legacy walk while any control op is
-// unresolved), must produce byte-identical stable JSON and identical typed
-// rows. This exercises the replay↔legacy handoff at every flush boundary
-// of the full evaluation surface.
-func TestWrongPathReplayDifferential(t *testing.T) {
-	diffScenarios(t, func() func() {
-		prev := pipeline.SetWrongPathReplayDefault(false)
-		return func() { pipeline.SetWrongPathReplayDefault(prev) }
-	})
 }

@@ -52,7 +52,7 @@ const specTraceCap = 1 << 16
 // (commit-trace capture is enabled, so core.CommitPCs/MemTrace hold the
 // architectural streams for contrast). Arming the tracer does not perturb
 // the run: the spec hooks are cycle-inert by construction, which
-// TestSpecTraceDifferential pins across every registered scenario.
+// TestSpecTraceDifferential (internal/experiments) pins.
 func ObserveSpec(cfg pipeline.Config, prog *isa.Program) (SpecObservation, *pipeline.Core, error) {
 	tr := pipeline.NewTracer(specTraceCap)
 	core := pipeline.New(cfg, prog)

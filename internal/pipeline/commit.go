@@ -97,10 +97,6 @@ func (c *Core) retire() error {
 			}
 		}
 
-		if c.wpOff && (u.cl == isa.ClassBranch || u.cl == isa.ClassJump) {
-			c.specCtl-- // resolved: this control op is no longer speculative
-		}
-
 		// Pop from the ROB before any controller action so that the
 		// controller sees an empty window (drains guarantee it). Ring
 		// contents beyond the live window are never read, so the vacated

@@ -14,30 +14,18 @@ import (
 )
 
 // superblockDefaultOn is the process-wide default for the superblock engine,
-// captured by New into each core. It exists for differential testing (run
-// the same grid with the engine force-disabled and diff the artifacts) and
-// is not meant to be toggled mid-run: cores read it once at construction.
+// captured by New (and re-read by Reset) into each core. It exists for the
+// scenario-level differential gate (run the same grid with the engine
+// force-disabled and diff the artifacts) and is not meant to be toggled
+// mid-run.
 var superblockDefaultOn atomic.Bool
 
 func init() { superblockDefaultOn.Store(true) }
 
 // SetSuperblockDefault flips the process-wide superblock default and returns
-// the previous value. Tests use it to run entire scenario grids with the
-// cached-trace front end off; per-core control is Config.DisableSuperblock.
+// the previous value. Tests use it to run entire scenario grids on the
+// legacy fetch walk; per-core control is Config.DisableSuperblock.
 func SetSuperblockDefault(on bool) bool { return superblockDefaultOn.Swap(on) }
-
-// wrongPathReplayDefaultOn is the process-wide default for superblock
-// replay through speculative (potentially wrong-path) fetch, captured by
-// New into each core like superblockDefaultOn.
-var wrongPathReplayDefaultOn atomic.Bool
-
-func init() { wrongPathReplayDefaultOn.Store(true) }
-
-// SetWrongPathReplayDefault flips the process-wide wrong-path replay
-// default and returns the previous value. With it off, cores divert to the
-// legacy fetch walk whenever a control-flow op is in flight; per-core
-// control is Config.DisableWrongPathReplay.
-func SetWrongPathReplayDefault(on bool) bool { return wrongPathReplayDefaultOn.Swap(on) }
 
 // Core is one simulated processor instance. A Core runs a single program to
 // completion; construct a fresh Core per run.
@@ -129,16 +117,10 @@ type Core struct {
 	sharedDecoded *isa.Program
 
 	// Superblock engine (see superblock.go): cached decoded straight-line
-	// traces replayed by fetch, plus the replay cursor.
-	sbOff bool // engine disabled for this core (config or process default)
-	// Wrong-path replay control (differential testing): with wpOff set,
-	// fetch diverts to the legacy walk whenever specCtl — the number of
-	// renamed, unresolved control-flow ops — is nonzero, so the replay path
-	// never fetches down a potentially mispredicted path. specCtl is
-	// maintained only when wpOff (rename increments; retire and squash
-	// decrement), keeping the default path free of the bookkeeping.
-	wpOff    bool
-	specCtl  int
+	// traces replayed by fetch, plus the replay cursor. sbOff puts the core
+	// on the legacy walk, the replay path's test oracle (config or process
+	// default); it is the only thing fetch selects a path on.
+	sbOff    bool
 	sbIndex  []int32
 	sbBlocks []superblock
 	sbCur    int32 // block being replayed, -1 when none
@@ -190,15 +172,12 @@ type Core struct {
 	BranchWatch func(pc uint64, taken, mispredicted bool, cycle uint64)
 
 	// Speculative-window observability (spec.go). specWatch, when armed,
-	// receives execute-time SpecEvents for all in-flight work — wrong-path
-	// included — and forces fetch onto the legacy walk (the emission points
-	// live there). specFromDefault records that the hook came from the
-	// process default so Reset can re-read it; an explicitly armed hook is
-	// caller-owned and preserved like MemWatch. specPC/specSeq stamp the
-	// access context cache-fill events are attributed to; specEmitted and
-	// specPub feed the process-wide counters (publishSpecCounters).
+	// receives SpecEvents for all in-flight work — wrong-path included —
+	// from whichever fetch path is running; it is caller-owned and
+	// preserved across Reset like MemWatch. specPC/specSeq stamp the access
+	// context cache-fill events are attributed to; specEmitted and specPub
+	// feed the process-wide counters (publishSpecCounters).
 	specWatch       func(SpecEvent)
-	specFromDefault bool
 	specPC, specSeq uint64
 	specEmitted     uint64
 	specPub         SpecCounters
@@ -216,7 +195,6 @@ type SuperblockStats struct {
 	Builds     uint64 // superblocks constructed
 	Replays    uint64 // instructions fetched via cached traces
 	LegacyOps  uint64 // instructions fetched via the per-instruction walk
-	FastTAGE   uint64 // (reserved) predictor fast-path hits, see bpred
 	Invalidate uint64 // cursor drops from redirects into uncached targets
 	ReKeys     uint64 // cursor re-keys onto a cached block at the redirect target
 	// Wrong-path replay accounting: work the engine performed on paths that
@@ -282,7 +260,6 @@ func NewOnMemory(cfg Config, prog *isa.Program, memory *mem.Memory) *Core {
 		sbCur:        -1,
 	}
 	c.sbOff = cfg.DisableSuperblock || !superblockDefaultOn.Load()
-	c.wpOff = cfg.DisableWrongPathReplay || !wrongPathReplayDefaultOn.Load()
 	if !c.sbOff {
 		c.sbIndex = make([]int32, len(prog.Code))
 		for i := range c.sbIndex {
@@ -332,7 +309,6 @@ func NewOnMemory(cfg Config, prog *isa.Program, memory *mem.Memory) *Core {
 	}
 	c.commitDigest = fnvOffset
 	c.memDigest = fnvOffset
-	c.armSpecDefault()
 	return c
 }
 

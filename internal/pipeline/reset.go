@@ -14,9 +14,10 @@ import (
 // cost of high-trial sweeps) from the hot loop; TestCoreResetDifferential
 // pins cycle- and event-stream equality against a fresh core.
 //
-// Caller-owned observability state (MemWatch/BranchWatch hooks and the
-// TraceCommits flag) is preserved; captured traces are truncated. SBStats
-// is zeroed — harvest it before Reset when accumulating across runs.
+// Caller-owned observability state (MemWatch/BranchWatch hooks, the spec
+// watch, and the TraceCommits flag) is preserved; captured traces are
+// truncated. SBStats is zeroed — harvest it before Reset when accumulating
+// across runs.
 func (c *Core) Reset(prog *isa.Program) {
 	// Memory image: zero in place and reload, exactly New's Load on a fresh
 	// image (zeroed pages are indistinguishable from absent ones).
@@ -102,8 +103,6 @@ func (c *Core) Reset(prog *isa.Program) {
 	// pool so steady-state rebuilds stay allocation-free. sbOff re-reads the
 	// process default, matching what New would capture right now.
 	c.sbOff = c.cfg.DisableSuperblock || !superblockDefaultOn.Load()
-	c.wpOff = c.cfg.DisableWrongPathReplay || !wrongPathReplayDefaultOn.Load()
-	c.specCtl = 0
 	for i := range c.sbBlocks {
 		c.sbEntryPool = append(c.sbEntryPool, c.sbBlocks[i].entries[:0])
 	}
@@ -137,14 +136,9 @@ func (c *Core) Reset(prog *isa.Program) {
 	c.lastCommitCycle = 0
 	c.Stats = Stats{}
 
-	// Spec-watch state. A caller-armed hook is preserved like MemWatch; a
-	// hook picked up from the process default (or no hook at all) re-reads
-	// the default, matching what New would capture right now. The published
-	// counter snapshot re-bases with the Stats wipe; harvest the global
-	// counters before Reset when accumulating across runs.
-	if c.specFromDefault || c.specWatch == nil {
-		c.armSpecDefault()
-	}
+	// Spec-watch state. The hook itself is caller-owned and preserved like
+	// MemWatch. The published counter snapshot re-bases with the Stats wipe;
+	// harvest the global counters before Reset when accumulating across runs.
 	c.specPC, c.specSeq = 0, 0
 	c.specEmitted = 0
 	c.specPub = SpecCounters{}

@@ -17,13 +17,14 @@ import (
 // later by the SpecCommit/SpecFlush events covering its sequence number; the
 // Tracer performs that back-patching for recorded streams.
 //
-// Arming a spec watch diverts fetch onto the legacy per-instruction walk
-// (the superblock replay path copies prototype micro-ops out of cached
-// traces and would bypass the per-fetch emission points). The two paths are
-// cycle-identical by construction — the same guarantee the superblock
-// differential suite pins — so arming the hook observes the run without
-// perturbing it; TestSpecTraceDifferential asserts exactly that over every
-// registered scenario.
+// Both fetch paths emit the fetch-time events (SpecFetch, SpecBPLookup, and
+// the IL1 fill attribution) at the same instruction positions, so arming a
+// watch observes the superblock replay fast path in place; the legacy walk
+// is only the replay path's oracle, and TestSpecEventsReplayMatchesLegacy
+// pins the two event streams byte-identical. The emission points are pure
+// observers: TestSpecTraceDifferential (internal/experiments) runs kernels
+// and pooled cores armed and disarmed and requires identical cycles,
+// digests, and replay counts.
 
 // SpecKind identifies what a SpecEvent describes.
 type SpecKind uint8
@@ -182,51 +183,16 @@ type SpecEvent struct {
 	Write      bool // memory events: store vs load
 }
 
-// specDefault is the process-wide default spec watch, captured by New into
-// each core and re-read at Reset — the same pattern as the superblock
-// default. It exists for differential testing (arm a sink across entire
-// scenario grids, including pooled cores, and diff the artifacts); a default
-// sink must be safe for concurrent calls because the trial engines run cores
-// on parallel workers.
-var specDefault atomic.Value // of specWatchBox
-
-type specWatchBox struct{ fn func(SpecEvent) }
-
-// SetSpecWatchDefault installs fn as the process-wide default spec watch and
-// returns the previous default. nil disarms. Cores created by New — and
-// pooled cores at their next Reset — pick the default up; a core armed
-// explicitly via SetSpecWatch keeps its own hook.
-func SetSpecWatchDefault(fn func(SpecEvent)) (old func(SpecEvent)) {
-	prev, _ := specDefault.Swap(specWatchBox{fn}).(specWatchBox)
-	return prev.fn
-}
-
-func loadSpecWatchDefault() func(SpecEvent) {
-	box, _ := specDefault.Load().(specWatchBox)
-	return box.fn
-}
-
-// SetSpecWatch arms (or, with nil, disarms) the execute-time spec watch on
-// this core and wires the cache-fill observers that feed SpecCacheFill/Evict
-// events. An explicitly armed hook survives Reset, like MemWatch; pass nil to
-// return the core to the process default at its next Reset.
+// SetSpecWatch arms (or, with nil, disarms) the spec watch on this core and
+// wires the cache-fill observers that feed SpecCacheFill/Evict events. The
+// hook is caller-owned: it survives Reset, like MemWatch.
 func (c *Core) SetSpecWatch(fn func(SpecEvent)) {
 	c.specWatch = fn
-	c.specFromDefault = false
 	c.wireSpecCache()
 }
 
-// SpecWatchArmed reports whether a spec watch (explicit or default) is live.
+// SpecWatchArmed reports whether a spec watch is live.
 func (c *Core) SpecWatchArmed() bool { return c.specWatch != nil }
-
-// armSpecDefault captures the process default (New and Reset call it when the
-// core has no explicitly armed hook).
-func (c *Core) armSpecDefault() {
-	d := loadSpecWatchDefault()
-	c.specWatch = d
-	c.specFromDefault = d != nil
-	c.wireSpecCache()
-}
 
 // wireSpecCache installs or removes the per-level fill observers. The
 // closures attribute each fill to the access the core most recently stamped

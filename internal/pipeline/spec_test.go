@@ -164,20 +164,7 @@ func TestSpecWatchResetSemantics(t *testing.T) {
 	core.SetSpecWatch(nil)
 	core.Reset(prog)
 	if core.SpecWatchArmed() {
-		t.Error("disarmed spec watch re-armed itself with no default set")
-	}
-
-	// A default-armed hook follows the process default across Reset.
-	prev := SetSpecWatchDefault(func(SpecEvent) {})
-	defer SetSpecWatchDefault(prev)
-	core2 := New(DefaultConfig(), prog)
-	if !core2.SpecWatchArmed() {
-		t.Fatal("New did not pick up the process default spec watch")
-	}
-	SetSpecWatchDefault(nil)
-	core2.Reset(prog)
-	if core2.SpecWatchArmed() {
-		t.Error("default-armed spec watch survived Reset after the default was cleared")
+		t.Error("disarmed spec watch re-armed itself across Reset")
 	}
 }
 

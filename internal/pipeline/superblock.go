@@ -104,6 +104,7 @@ func (c *Core) fetchSuperblock() {
 	// move mid-loop and its pointer can be hoisted.
 	c.pool.reserve(c.cfg.FetchWidth)
 	arena := c.pool.arena
+	spec := c.specWatch != nil
 	var lastLine uint64 = ^uint64(0)
 	n := 0
 	for n < c.cfg.FetchWidth && !c.fe.fetchFull() {
@@ -118,6 +119,10 @@ func (c *Core) fetchSuperblock() {
 		blk := &c.sbBlocks[c.sbCur]
 		for n < c.cfg.FetchWidth && !c.fe.fetchFull() && int(c.sbCurIdx) < len(blk.entries) {
 			e := &blk.entries[c.sbCurIdx]
+			if spec {
+				// Attribute IL1 fills to this fetch, as the legacy walk does.
+				c.specPC, c.specSeq = e.proto.pc, c.seq
+			}
 			// Charge IL1 for each distinct line, exactly like the legacy
 			// walk: lastLine is updated even on a miss, and a miss retries
 			// the whole instruction after the stall (recharging its lines).
@@ -152,18 +157,24 @@ func (c *Core) fetchSuperblock() {
 			n++
 
 			// Direct dispatch on the build-time kind; every arm mirrors the
-			// corresponding predecode case exactly.
+			// corresponding predecode case exactly. stop ends the fetch group
+			// after the spec events, which fire in the legacy walk's order.
+			stop := false
 			switch e.kind {
 			case sbSeq:
 				c.fetchPC = u.npc
 			case sbBranch:
 				u.predTaken = c.BP.PredictBranch(u.pc)
 				u.predTarget = e.target
+				if spec {
+					c.emitSpec(SpecEvent{Kind: SpecBPLookup, Seq: u.seq, PC: u.pc, Addr: u.predTarget, Taken: u.predTaken})
+				}
 				if u.predTaken {
 					c.fetchPC = e.target
-					return // one taken control transfer per fetch group
+					stop = true // one taken control transfer per fetch group
+				} else {
+					c.fetchPC = u.npc
 				}
-				c.fetchPC = u.npc
 			case sbJmp, sbJal:
 				u.predTaken = true
 				u.predTarget = e.target
@@ -171,17 +182,21 @@ func (c *Core) fetchSuperblock() {
 					c.BP.PushReturn(u.npc)
 				}
 				c.fetchPC = e.target
-				return
+				stop = true
 			case sbHalt:
 				c.fetchPC = u.npc
 				c.fetchHalted = true
-				return
+				stop = true
 			default: // sbPredecode: JALR or SeMPE marker
-				if c.predecode(u) {
-					// The cursor is left as-is; the pc check above
-					// re-validates or drops it.
-					return
-				}
+				// On a taken transfer the cursor is left as-is; the pc
+				// check above re-validates or drops it.
+				stop = c.predecode(u)
+			}
+			if spec && specWatched(u) {
+				c.emitSpec(SpecEvent{Kind: SpecFetch, Seq: u.seq, PC: u.pc, Addr: u.predTarget, Taken: u.predTaken})
+			}
+			if stop {
+				return
 			}
 		}
 		// Block exhausted mid-group: the outer loop re-establishes a cursor
@@ -229,9 +244,8 @@ func (c *Core) sbBuild(off int) int32 {
 	}
 	pos := off
 	for len(entries) < sbMaxEntries && pos < len(c.prog.Code) {
-		// Goes through the shared predecode cache, so a run that mixes
-		// replay and legacy fetches (e.g. a hook armed mid-run) sees one
-		// decode and identical static metadata on both paths.
+		// Goes through the shared predecode cache, so replay and the
+		// legacy oracle see one decode and identical static metadata.
 		d := c.predecAt(pos)
 		if d == nil {
 			break

@@ -14,9 +14,8 @@ import (
 // reads like a post-mortem: every retained event knows how it resolved.
 //
 // Record is allocation-free: the ring and the pending-resolution window are
-// sized at construction and never grow. A Tracer serves one core; it is not
-// safe for concurrent use (the parallel trial engines need a shared sink,
-// not a shared ring — see SetSpecWatchDefault).
+// sized at construction and never grow. A Tracer serves one core and is not
+// safe for concurrent use.
 type Tracer struct {
 	ring  []SpecEvent
 	total uint64 // absolute count of events recorded

@@ -8,35 +8,6 @@ import (
 	"repro/internal/isa"
 )
 
-// runWrongPathTriple executes prog three ways — superblock replay with
-// wrong-path replay allowed, with wrong-path replay force-disabled, and on
-// the legacy walk — and requires the full observable surface to agree
-// pairwise (runPair covers replay vs legacy; this adds the knob'd run).
-// Returns the replay-enabled core for counter assertions.
-func runWrongPathTriple(t *testing.T, cfg Config, prog *isa.Program) *Core {
-	t.Helper()
-	on := runPair(t, cfg, prog)
-	wpCfg := cfg
-	wpCfg.DisableWrongPathReplay = true
-	wp := New(wpCfg, prog)
-	if err := wp.Run(); err != nil {
-		t.Fatalf("wrong-path-replay-off core: %v", err)
-	}
-	if on.ArchRegs() != wp.ArchRegs() {
-		t.Errorf("architectural registers differ with wrong-path replay off")
-	}
-	if on.Stats != wp.Stats {
-		t.Errorf("pipeline stats differ with wrong-path replay off:\non:  %+v\noff: %+v", on.Stats, wp.Stats)
-	}
-	if on.CommitDigest() != wp.CommitDigest() || on.MemDigest() != wp.MemDigest() {
-		t.Errorf("digests differ with wrong-path replay off")
-	}
-	if on.BP.Digest() != wp.BP.Digest() {
-		t.Errorf("predictor digests differ with wrong-path replay off")
-	}
-	return on
-}
-
 // wrongPathNestedProg: the outer branch depends on a load (resolves late),
 // the inner one on register arithmetic (resolves early), so a mispredicted
 // inner branch can redirect fetch while the core is already past an
@@ -68,12 +39,11 @@ func wrongPathNestedProg() *isa.Program {
 }
 
 // TestWrongPathNestedMispredict: replay through nested wrong-path regions
-// must stay cycle- and event-identical to both the legacy walk and the
-// knob'd (no wrong-path replay) run, while actually exercising the
-// machinery: squashed replayed micro-ops and cursor re-keys onto cached
+// must stay cycle- and event-identical to the legacy walk, while actually
+// exercising the machinery: squashed replayed micro-ops and cursor re-keys onto cached
 // redirect targets must both occur.
 func TestWrongPathNestedMispredict(t *testing.T) {
-	on := runWrongPathTriple(t, DefaultConfig(), wrongPathNestedProg())
+	on := runPair(t, DefaultConfig(), wrongPathNestedProg())
 	if on.Stats.BranchMispredicts == 0 {
 		t.Fatal("workload produced no mispredicts; the wrong-path edge is untested")
 	}
@@ -92,7 +62,7 @@ func TestWrongPathNestedMispredict(t *testing.T) {
 // must actually land on a live cursor.
 func TestWrongPathSecureRedirectMidSuperblock(t *testing.T) {
 	for _, secret := range []int64{0, 1} {
-		on := runWrongPathTriple(t, SecureConfig(), secureBranchProg(secret))
+		on := runPair(t, SecureConfig(), secureBranchProg(secret))
 		if on.Stats.EOSJmps == 0 {
 			t.Fatalf("secret=%d: no secure redirects; test needs a SeMPE program", secret)
 		}
@@ -134,7 +104,7 @@ func wrongPathColdTargetProg() *isa.Program {
 // WrongPathBuilds without perturbing any observable, and later correct-path
 // fetch must replay the (path-independent) cached blocks.
 func TestWrongPathFlushDuringBuild(t *testing.T) {
-	on := runWrongPathTriple(t, DefaultConfig(), wrongPathColdTargetProg())
+	on := runPair(t, DefaultConfig(), wrongPathColdTargetProg())
 	if on.Stats.BranchMispredicts == 0 {
 		t.Fatal("workload produced no mispredicts; the wrong-path edge is untested")
 	}
@@ -176,9 +146,6 @@ func TestWrongPathReplayZeroAlloc(t *testing.T) {
 	`)
 	proto := NewPrototype(DefaultConfig(), prog)
 	core := NewFromPrototype(proto)
-	if core.wpOff {
-		t.Fatal("wrong-path replay disabled; another test leaked a default")
-	}
 	for i := 0; i < 20_000 && !core.Halted(); i++ {
 		if err := core.StepCycle(); err != nil {
 			t.Fatal(err)
@@ -212,52 +179,82 @@ func TestWrongPathReplayZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestWrongPathSpecWatchDivert: arming a spec watch mid-run diverts fetch
-// from replay to the legacy walk (the emission points live there). The
-// event stream recorded from the diverted core must be byte-identical —
-// kinds, seqs, addresses, dispositions — to one recorded on a core that
-// never used the replay path at all.
-func TestWrongPathSpecWatchDivert(t *testing.T) {
-	prog := wrongPathNestedProg()
-	const armAt = 150
-	run := func(disableSB bool) ([]SpecEvent, Stats, uint64) {
-		cfg := DefaultConfig()
-		cfg.DisableSuperblock = disableSB
-		c := New(cfg, prog)
-		var events []SpecEvent
-		armed := false
-		for !c.Halted() {
-			if !armed && c.Cycles() >= armAt {
-				armed = true
-				c.SetSpecWatch(func(e SpecEvent) { events = append(events, e) })
+// TestSpecEventsReplayMatchesLegacy pins the replay path's spec-event
+// emission to the legacy walk's: with a watch armed, the superblock core
+// must fetch every instruction by replay (LegacyOps == 0) and record an
+// event stream byte-identical — kinds, seqs, addresses, dispositions — to
+// one recorded on a core that never replays. The cases cover conditional
+// branches through nested wrong paths, direct and indirect calls (JAL push
+// and JALR return prediction), and SeMPE markers; arming mid-run also
+// covers a watch that starts after blocks were built unobserved.
+func TestSpecEventsReplayMatchesLegacy(t *testing.T) {
+	callRet := asm.MustAssemble(`
+		main:
+			li   r8, 0
+			li   r9, 20
+		loop:
+			call inc
+			addi r9, r9, -1
+			bne  r9, rz, loop
+			halt
+		inc:
+			addi r8, r8, 1
+			ret
+	`)
+	cases := []struct {
+		name  string
+		cfg   Config
+		prog  *isa.Program
+		armAt uint64
+	}{
+		{"nested", DefaultConfig(), wrongPathNestedProg(), 0},
+		{"nested-mid-run", DefaultConfig(), wrongPathNestedProg(), 150},
+		{"call-ret", DefaultConfig(), callRet, 0},
+		{"secure", SecureConfig(), secureBranchProg(1), 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(disableSB bool) ([]SpecEvent, *Core) {
+				cfg := tc.cfg
+				cfg.DisableSuperblock = disableSB
+				c := New(cfg, tc.prog)
+				var events []SpecEvent
+				armed := false
+				for !c.Halted() {
+					if !armed && c.Cycles() >= tc.armAt {
+						armed = true
+						c.SetSpecWatch(func(e SpecEvent) { events = append(events, e) })
+					}
+					if err := c.StepCycle(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return events, c
 			}
-			if err := c.StepCycle(); err != nil {
-				t.Fatal(err)
+			evOn, on := run(false)
+			evOff, off := run(true)
+			if on.Stats != off.Stats {
+				t.Errorf("stats differ:\nreplay: %+v\nlegacy: %+v", on.Stats, off.Stats)
 			}
-		}
-		return events, c.Stats, c.CommitDigest()
-	}
-	evOn, sOn, digOn := run(false)
-	evOff, sOff, digOff := run(true)
-	if sOn != sOff {
-		t.Errorf("stats differ:\nreplay: %+v\nlegacy: %+v", sOn, sOff)
-	}
-	if digOn != digOff {
-		t.Error("commit digests differ")
-	}
-	if len(evOn) == 0 {
-		t.Fatal("spec watch observed nothing after arming")
-	}
-	if !reflect.DeepEqual(evOn, evOff) {
-		n := len(evOn)
-		if len(evOff) < n {
-			n = len(evOff)
-		}
-		for i := 0; i < n; i++ {
-			if evOn[i] != evOff[i] {
-				t.Fatalf("spec event %d differs:\nreplay: %+v\nlegacy: %+v", i, evOn[i], evOff[i])
+			if on.CommitDigest() != off.CommitDigest() {
+				t.Error("commit digests differ")
 			}
-		}
-		t.Fatalf("spec event streams differ in length: replay=%d legacy=%d", len(evOn), len(evOff))
+			if on.SBStats.LegacyOps != 0 || on.SBStats.Replays == 0 {
+				t.Errorf("armed superblock core fetched %d ops on the legacy walk and %d by replay; want 0 and > 0",
+					on.SBStats.LegacyOps, on.SBStats.Replays)
+			}
+			if len(evOn) == 0 {
+				t.Fatal("spec watch observed nothing after arming")
+			}
+			if !reflect.DeepEqual(evOn, evOff) {
+				n := min(len(evOn), len(evOff))
+				for i := 0; i < n; i++ {
+					if evOn[i] != evOff[i] {
+						t.Fatalf("spec event %d differs:\nreplay: %+v\nlegacy: %+v", i, evOn[i], evOff[i])
+					}
+				}
+				t.Fatalf("spec event streams differ in length: replay=%d legacy=%d", len(evOn), len(evOff))
+			}
+		})
 	}
 }

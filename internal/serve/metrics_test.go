@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -59,6 +61,49 @@ func scrape(t *testing.T, url string) (map[string]float64, string) {
 
 // onePointBody is a single-point fig10a run, the cheapest real sweep.
 const onePointBody = `{"scenario": "fig10a", "spec": {"params": {"kinds": "fibonacci", "ws": "1", "iters": "2"}}, "wait": true}`
+
+// gateHandler is a slog handler that holds every "run finished" record
+// until the test sends on gate, pinning the run's goroutine just past the
+// point where it publishes completion.
+type gateHandler struct{ gate chan struct{} }
+
+func (h gateHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h gateHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h gateHandler) WithGroup(string) slog.Handler            { return h }
+func (h gateHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "run finished" {
+		<-h.gate
+	}
+	return nil
+}
+
+// TestSemaphoreFreedBeforeWaitedRunReturns: a wait=true run answers only
+// after its simulation slot is free again, so occupancy reads 0 the moment
+// each of several back-to-back computed runs returns — even while the run's
+// goroutine is still held in its post-completion logging.
+func TestSemaphoreFreedBeforeWaitedRunReturns(t *testing.T) {
+	gate := make(chan struct{})
+	srv := New(Options{MaxWorkers: 2, MaxConcurrentRuns: 2, CacheEntries: 8,
+		Logger: slog.New(gateHandler{gate})})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { close(gate) })
+	for iters := 1; iters <= 4; iters++ {
+		body := `{"scenario": "fig10a", "spec": {"params": {"kinds": "fibonacci", "ws": "1", "iters": "` +
+			strconv.Itoa(iters) + `"}}, "wait": true}`
+		if view, code := postRun(t, ts, body); code != http.StatusOK || view.Status != "done" || view.Cached {
+			t.Fatalf("POST /runs iters=%d = %d, status %q, cached %t; want a computed run", iters, code, view.Status, view.Cached)
+		}
+		if n := len(srv.sem); n != 0 {
+			t.Fatalf("iters=%d: %d simulation slots still held after the waited run returned", iters, n)
+		}
+		samples, _ := scrape(t, ts.URL+"/metrics")
+		if occ := samples["sempe_sim_semaphore_occupancy"]; occ != 0 {
+			t.Fatalf("iters=%d: sempe_sim_semaphore_occupancy = %v, want 0", iters, occ)
+		}
+		gate <- struct{}{} // let this run's goroutine finish
+	}
+}
 
 // TestMetricsExposition pins the families and values GET /metrics reports
 // after a known request sequence: one computed run, one LRU cache hit.

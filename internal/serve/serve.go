@@ -344,7 +344,6 @@ func (s *Server) execute(ctx context.Context, sc *scenario.Scenario, rn *run, ke
 		s.mu.Unlock()
 		return
 	}
-	defer func() { <-s.sem }()
 
 	s.mu.Lock()
 	rn.status = "running"
@@ -411,6 +410,9 @@ func (s *Server) execute(ctx context.Context, sc *scenario.Scenario, rn *run, ke
 		// Best-effort: a failed disk write must not fail a computed run.
 		s.opts.Store.PutResult(res)
 	}
+	// Free the simulation slot before publishing completion: a wait=true
+	// client woken by close(rn.finished) must see the slot released.
+	<-s.sem
 
 	s.mu.Lock()
 	switch {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	_ "repro/internal/experiments" // registers the paper's scenarios
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -189,6 +190,48 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
 		t.Errorf("healthz = %d", code)
+	}
+}
+
+// TestOutOfRangeSecretRejected: a harness secret above 2^31-1 cannot be
+// encoded, so fig10a's secret and leakmatrix's secrets reject it at spec
+// parse — POST /runs and a worker's POST /shards answer 400 instead of
+// accepting a run whose every point fails (and that a cluster front end
+// would retry). The largest encodable secret still runs.
+func TestOutOfRangeSecretRejected(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, body := range []string{
+		`{"scenario": "fig10a", "spec": {"params": {"kinds": "fibonacci", "ws": "1", "iters": "1", "secret": "2147483648"}}, "wait": true}`,
+		`{"scenario": "leakmatrix", "spec": {"params": {"kinds": "fibonacci", "ws": "1", "iters": "1", "secrets": "1,2147483648"}}, "wait": true}`,
+	} {
+		if view, code := postRun(t, ts, body); code != http.StatusBadRequest {
+			t.Errorf("POST /runs %s = %d (status %q), want 400", body, code, view.Status)
+		}
+	}
+	ok := `{"scenario": "fig10a", "spec": {"params": {"kinds": "fibonacci", "ws": "1", "iters": "1", "secret": "2147483647"}}, "wait": true}`
+	if view, code := postRun(t, ts, ok); code != http.StatusOK || view.Status != "done" {
+		t.Errorf("largest encodable secret: POST /runs = %d, status %q, want 200 done", code, view.Status)
+	}
+
+	worker := httptest.NewServer(New(Options{MaxWorkers: 1, Worker: true}).Handler())
+	t.Cleanup(worker.Close)
+	shard, err := json.Marshal(cluster.ShardRequest{
+		Scenario: "fig10a",
+		Spec:     scenario.Spec{Params: map[string]string{"kinds": "fibonacci", "ws": "1", "iters": "1", "secret": "2147483648"}},
+		Indices:  []int{0},
+		Total:    1,
+		Version:  store.CodeVersion,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(worker.URL+cluster.ShardPath, "application/json", bytes.NewReader(shard))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /shards with secret 2^31 = %d, want 400", resp.StatusCode)
 	}
 }
 
